@@ -69,6 +69,8 @@ struct BasisSpec {
   double lambda_max = 0.0;  ///< <= 0: estimate by power iteration at setup
   int power_iterations = 10;      ///< setup estimation budget
   double interval_ratio = 30.0;   ///< lambda_min fallback divisor
+
+  bool operator==(const BasisSpec&) const = default;
 };
 
 /// Resolve the shift interval of `spec` against the operator the engine

@@ -1,7 +1,6 @@
 #include "pipescg/krylov/hybrid.hpp"
 
-#include "pipescg/krylov/pipecg_oati.hpp"
-#include "pipescg/krylov/sstep_common.hpp"
+#include "pipescg/krylov/sstep_driver.hpp"
 
 namespace pipescg::krylov {
 
@@ -15,7 +14,7 @@ SolveStats HybridSolver::solve(Engine& engine, const Vec& b, Vec& x,
   phase1.detect_stagnation = true;
   if (phase1.replacement_period == 0) phase1.replacement_period = 4;
   SolveStats stats =
-      sstep::pipe_pscg_core(engine, b, x, phase1, opts.s, name());
+      SStepSolver(sstep_variant("pipe-pscg")).solve(engine, b, x, phase1);
   if (stats.converged || stats.iterations >= opts.max_iterations) {
     stats.method = name();
     return stats;
@@ -33,8 +32,8 @@ SolveStats HybridSolver::solve(Engine& engine, const Vec& b, Vec& x,
   SolverOptions phase2 = opts;
   phase2.detect_stagnation = false;
   phase2.max_iterations = opts.max_iterations - stats.iterations;
-  PipeCgOatiSolver oati;
-  SolveStats tail = oati.solve(engine, b, x, phase2);
+  SolveStats tail = SStepSolver(sstep_variant("pipecg-oati"))
+                        .solve(engine, b, x, phase2);
 
   // Merge the two phases into one report.
   SolveStats merged;

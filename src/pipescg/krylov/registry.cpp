@@ -1,30 +1,23 @@
 #include "pipescg/krylov/registry.hpp"
 
+#include <algorithm>
+
 #include "pipescg/base/error.hpp"
 #include "pipescg/krylov/cg.hpp"
 #include "pipescg/krylov/hybrid.hpp"
-#include "pipescg/krylov/pipe_pscg.hpp"
-#include "pipescg/krylov/pipe_scg.hpp"
 #include "pipescg/krylov/pipecg.hpp"
-#include "pipescg/krylov/pipecg3.hpp"
-#include "pipescg/krylov/pipecg_oati.hpp"
-#include "pipescg/krylov/pscg.hpp"
-#include "pipescg/krylov/scg.hpp"
-#include "pipescg/krylov/scg_sspmv.hpp"
+#include "pipescg/krylov/sstep_driver.hpp"
 
 namespace pipescg::krylov {
 
 std::unique_ptr<Solver> make_solver(const std::string& name) {
   if (name == "pcg") return std::make_unique<CgSolver>();
   if (name == "pipecg") return std::make_unique<PipeCgSolver>();
-  if (name == "pipecg3") return std::make_unique<PipeCg3Solver>();
-  if (name == "pipecg-oati") return std::make_unique<PipeCgOatiSolver>();
-  if (name == "scg") return std::make_unique<ScgSolver>();
-  if (name == "pscg") return std::make_unique<PscgSolver>();
-  if (name == "scg-sspmv") return std::make_unique<ScgSspmvSolver>();
-  if (name == "pipe-scg") return std::make_unique<PipeScgSolver>();
-  if (name == "pipe-pscg") return std::make_unique<PipePscgSolver>();
   if (name == "hybrid") return std::make_unique<HybridSolver>();
+  // Every other name is one variant of the s-step driver.
+  const std::vector<std::string> names = solver_names();
+  if (std::find(names.begin(), names.end(), name) != names.end())
+    return std::make_unique<SStepSolver>(sstep_variant(name));
   PIPESCG_FAIL("unknown solver '" + name +
                "'; known: pcg pipecg pipecg3 pipecg-oati scg pscg scg-sspmv "
                "pipe-scg pipe-pscg hybrid");

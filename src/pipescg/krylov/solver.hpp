@@ -33,6 +33,8 @@ struct IterationInfo {
   double rnorm;           // residual norm in the convergence-test flavor
 };
 
+// service::batchable compares every field but `monitor`; extend it with any
+// field added here.
 struct SolverOptions {
   double rtol = 1e-5;
   double atol = 1e-300;
@@ -174,8 +176,11 @@ void finalize_stats(Engine& engine, const Vec& b, const Vec& x,
 /// finite: the recurrences have been destroyed (overflow, SDC, division by
 /// a vanished scalar) and every subsequent iterate would be garbage, so
 /// callers must stop (or roll back) instead of iterating on NaNs.
+/// `column` is the right-hand side of a batched solve the checkpoint
+/// belongs to (0 for a solo solve), so per-solve observers keep one stream
+/// per column.
 bool checkpoint(SolveStats& stats, const SolverOptions& opts,
-                std::size_t iteration, double rnorm);
+                std::size_t iteration, double rnorm, std::size_t column = 0);
 
 /// Divergence detector shared by the pipelined s-step drivers: tracks the
 /// best residual norm seen and declares divergence when the current norm is

@@ -159,73 +159,31 @@ la::DenseMatrix DotLayout::cross(std::span<const double> values) const {
   return c;
 }
 
-void build_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
+void build_dot_pairs(const DotLayout& layout, const VecBlock& wb,
+                     const VecBlock& v, const VecBlock& apr,
                      std::vector<DotPair>& out) {
-  const std::size_t s = ap.size();
-  PIPESCG_CHECK(s_basis.size() == s + 1, "basis must have s+1 columns");
+  const std::size_t s = static_cast<std::size_t>(layout.s);
+  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1 && apr.size() == s,
+                "bases must have s+1 columns, A P_cur s columns");
   out.clear();
-  // Moments m_j = (A^{j-j/2} r, A^{j/2} r), j = 0..2s.
-  for (std::size_t j = 0; j <= 2 * s; ++j) {
-    const std::size_t half = j / 2;
-    out.push_back(DotPair{&s_basis[j - half], &s_basis[half]});
-  }
-  // Cross C(k, j) = (A P_cur[k], S_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&ap[k], &s_basis[j]});
-}
-
-void build_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                     const VecBlock& apr, std::vector<DotPair>& out) {
-  const std::size_t s = apr.size();
-  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1,
-                "bases must have s+1 columns");
-  out.clear();
-  // Moments m_j = ((A M^{-1})^{j-j/2} r, (M^{-1}A)^{j/2} u)
-  //             = r^T (M^{-1}A)^j u.
-  for (std::size_t j = 0; j <= 2 * s; ++j) {
-    const std::size_t half = j / 2;
-    out.push_back(DotPair{&wb[j - half], &v[half]});
+  if (layout.gram) {
+    // G(j, k) = (wb[j], v[k]) = v[j]^T M v[k]: the M-inner Gram of the
+    // u-side basis, symmetric, so the upper triangle suffices.
+    for (std::size_t j = 0; j <= s; ++j)
+      for (std::size_t k = j; k <= s; ++k)
+        out.push_back(DotPair{&wb[j], &v[k]});
+  } else {
+    // m_j = ((A M^{-1})^{j-j/2} r, (M^{-1}A)^{j/2} u) = r^T (M^{-1}A)^j u.
+    for (std::size_t j = 0; j <= 2 * s; ++j) {
+      const std::size_t half = j / 2;
+      out.push_back(DotPair{&wb[j - half], &v[half]});
+    }
   }
   // Cross C(k, j) = ((A P_cur)[k], V_new[j]) = (P_cur^T A V_new)(k, j).
   for (std::size_t k = 0; k < s; ++k)
     for (std::size_t j = 0; j < s; ++j)
       out.push_back(DotPair{&apr[k], &v[j]});
-  // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
-  out.push_back(DotPair{&wb[0], &wb[0]});
-  out.push_back(DotPair{&v[0], &v[0]});
-}
-
-void build_gram_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
-                          std::vector<DotPair>& out) {
-  const std::size_t s = ap.size();
-  PIPESCG_CHECK(s_basis.size() == s + 1, "basis must have s+1 columns");
-  out.clear();
-  // Gram upper triangle G(j, k) = (S[j], S[k]), j <= k <= s.
-  for (std::size_t j = 0; j <= s; ++j)
-    for (std::size_t k = j; k <= s; ++k)
-      out.push_back(DotPair{&s_basis[j], &s_basis[k]});
-  // Cross C(k, j) = (A P_cur[k], S_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&ap[k], &s_basis[j]});
-}
-
-void build_gram_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                          const VecBlock& apr, std::vector<DotPair>& out) {
-  const std::size_t s = apr.size();
-  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1,
-                "bases must have s+1 columns");
-  out.clear();
-  // G(j, k) = (wb[j], v[k]) = v[j]^T M v[k]: the M-inner Gram of the u-side
-  // basis (wb[j] = M v[j]), symmetric, so the upper triangle suffices.
-  for (std::size_t j = 0; j <= s; ++j)
-    for (std::size_t k = j; k <= s; ++k)
-      out.push_back(DotPair{&wb[j], &v[k]});
-  // Cross C(k, j) = ((A P_cur)[k], V_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&apr[k], &v[j]});
+  if (!layout.preconditioned) return;
   // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
   out.push_back(DotPair{&wb[0], &wb[0]});
   out.push_back(DotPair{&v[0], &v[0]});

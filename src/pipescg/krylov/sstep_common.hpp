@@ -119,27 +119,16 @@ struct DotLayout {
   la::DenseMatrix cross(std::span<const double> values) const;
 };
 
-/// Build the batch for the unpreconditioned methods: basis S has s+1
-/// columns [r, A r, ..., A^s r]; ap has s columns A P_cur.
-void build_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
+/// Fill `out` with the one per-outer-iteration batch in `layout`'s order:
+/// the 2s+1 moments m_j = (wb[j - j/2], v[j/2]) = r^T (M^{-1}A)^j u (or,
+/// for a gram layout, the triangle G(j,k) = (wb[j], v[k]), j <= k), then
+/// the cross block C(k,j) = (apr[k], v[j]), then -- preconditioned only --
+/// the norm extras (r, r) and (u, u).  wb is the r-side basis
+/// [(A M^{-1})^j r], v the u-side basis [(M^{-1}A)^j u] (s+1 columns each;
+/// the same block when unpreconditioned), apr = A P_cur (s columns).
+void build_dot_pairs(const DotLayout& layout, const VecBlock& wb,
+                     const VecBlock& v, const VecBlock& apr,
                      std::vector<DotPair>& out);
-
-/// Preconditioned: wb = r-side powers [(A M^{-1})^j r], v = u-side powers
-/// [(M^{-1}A)^j u] (s+1 columns each); apr = A P_cur (s columns, r-side).
-void build_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                     const VecBlock& apr, std::vector<DotPair>& out);
-
-/// Shifted-basis batch (DotLayout::gram): Gram upper triangle
-/// G(j,k) = (S[j], S[k]), j <= k, then the cross block -- same shape of
-/// communication as the monomial batch, larger payload.
-void build_gram_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
-                          std::vector<DotPair>& out);
-
-/// Preconditioned shifted-basis batch: G(j,k) = (wb[j], v[k]) = the
-/// M-inner product of the u-side basis columns (wb[j] = M v[j]), j <= k;
-/// cross and the two norm extras follow as in the monomial layout.
-void build_gram_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                          const VecBlock& apr, std::vector<DotPair>& out);
 
 /// NaN/Inf guard on a reduced dot batch (the 2s+1 moments plus the Gram
 /// cross block).  The reduced values are identical on all ranks, so every
@@ -240,13 +229,5 @@ struct TelemetrySnapshot {
                   const SolverOptions& opts, int cur_s,
                   std::size_t recoveries);
 };
-
-/// The preconditioned pipelined core (paper Alg. 6 + 7), parameterized so
-/// PIPE-PsCG (s = opts.s), PIPECG-OATI (s = 2) and PIPECG3 (s = 2 + extra
-/// charged FLOPs) share one implementation.
-SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
-                          const SolverOptions& opts, int s,
-                          const std::string& method_name,
-                          double extra_flops_per_outer = 0.0);
 
 }  // namespace pipescg::krylov::sstep

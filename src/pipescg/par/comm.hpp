@@ -182,12 +182,12 @@ class Comm {
   /// Batched halo exchange: ONE epoch that exposes `window` and executes a
   /// pre-registered pull list into `ghosts` -- expose, every pull, close.
   /// This is the primitive the distributed operators (sparse::DistCsr,
-  /// sparse::DistStencil3D, sparse::MatrixPowers) use for their halo
-  /// exchanges; the per-epoch cost is paid once regardless of how many runs
-  /// or how deep a ghost region is pulled, which is exactly what the
-  /// matrix-powers kernel exploits (one deep exchange per s-step block
-  /// instead of s shallow ones).  Collective: every rank of the team must
-  /// call it, each with its own run list (possibly empty).  Records
+  /// sparse::MatrixPowers) use for their halo exchanges; the per-epoch
+  /// cost is paid once regardless of how many runs or how deep a ghost
+  /// region is pulled, which is exactly what the matrix-powers kernel
+  /// exploits (one deep exchange per s-step block instead of s shallow
+  /// ones).  Collective: every rank of the team must call it, each with its
+  /// own run list (possibly empty).  Records
   /// halo_epochs / halo_messages / halo_volume_doubles into the calling
   /// thread's obs profiler.
   void exchange(std::span<const GhostPull> pulls,

@@ -60,7 +60,6 @@
 #include "pipescg/sparse/csr_matrix.hpp"
 #include "pipescg/sparse/bytes_model.hpp"
 #include "pipescg/sparse/dist_csr.hpp"
-#include "pipescg/sparse/dist_stencil.hpp"
 #include "pipescg/sparse/format.hpp"
 #include "pipescg/sparse/matrix_market.hpp"
 #include "pipescg/sparse/matrix_powers.hpp"

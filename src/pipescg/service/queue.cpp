@@ -1,19 +1,31 @@
 #include "pipescg/service/queue.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 namespace pipescg::service {
+namespace {
+
+// Every SolverOptions field a solve reads.  `monitor` is the caller's
+// callback, not part of the convergence contract.
+auto contract(const krylov::SolverOptions& o) {
+  return std::tie(o.rtol, o.atol, o.max_iterations, o.s, o.norm, o.basis,
+                  o.detect_stagnation, o.stall_improvement, o.stall_window,
+                  o.replacement_period, o.gap_tol, o.gap_check_period,
+                  o.compute_true_residual, o.fuse_cg_dots,
+                  o.estimate_spectrum, o.recovery, o.max_recoveries);
+}
+
+}  // namespace
 
 bool batchable(const SolveContext& a, const SolveContext& b) {
-  // Only scg-sspmv has a batched driver (krylov::scg_multi_solve); a step
-  // limit makes iteration budgets diverge mid-batch, so limited jobs run
-  // singly.
+  // Only scg-sspmv has a batched entry point (krylov::scg_multi_solve); a
+  // step limit makes iteration budgets diverge mid-batch, so limited jobs
+  // run singly.  The batch runs with the first job's options, so every
+  // option must match or a later job's would be silently replaced.
   if (a.method() != "scg-sspmv" || b.method() != "scg-sspmv") return false;
   if (a.step_limit() != 0 || b.step_limit() != 0) return false;
-  const krylov::SolverOptions& oa = a.options();
-  const krylov::SolverOptions& ob = b.options();
-  return oa.s == ob.s && oa.rtol == ob.rtol && oa.atol == ob.atol &&
-         oa.norm == ob.norm && oa.max_iterations == ob.max_iterations;
+  return contract(a.options()) == contract(b.options());
 }
 
 void AdmissionQueue::submit(SolveContext* ctx) {

@@ -25,9 +25,9 @@
 namespace pipescg::service {
 
 /// True when two contexts may share one multi-RHS batch: same method with a
-/// batched driver ("scg-sspmv" is the one multi-RHS-capable method today)
-/// and identical convergence contract (s, rtol, atol, norm, max_iterations,
-/// no step limit).
+/// batched entry point ("scg-sspmv" is the one multi-RHS-capable method
+/// today), no step limit, and identical SolverOptions in every field but
+/// `monitor` (the batch runs with the first job's options).
 bool batchable(const SolveContext& a, const SolveContext& b);
 
 class AdmissionQueue {

@@ -232,7 +232,7 @@ void Session::execute(std::span<SolveContext* const> ctxs) {
   opts.max_iterations = budget;
   // Session-wide stability defaults: knobs the context left unset inherit
   // the session's.  Applied uniformly to a batch (batchable() guarantees
-  // the contexts share their convergence contract).
+  // the contexts share every option).
   if (opts.basis.type == krylov::BasisType::kMonomial)
     opts.basis = config_.basis;
   if (opts.replacement_period == 0)

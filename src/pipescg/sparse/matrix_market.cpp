@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "pipescg/base/error.hpp"
@@ -43,18 +46,41 @@ CsrMatrix read_matrix_market(std::istream& in, std::string name) {
   }
   std::istringstream dims(line);
   std::size_t nrows = 0, ncols = 0, nnz = 0;
-  dims >> nrows >> ncols >> nnz;
-  PIPESCG_CHECK(nrows > 0 && ncols > 0, "matrix market: bad dimensions line");
+  PIPESCG_CHECK(static_cast<bool>(dims >> nrows >> ncols >> nnz) &&
+                    nrows > 0 && ncols > 0,
+                "matrix market: bad dimensions line");
+  PIPESCG_CHECK(nrows > std::numeric_limits<std::size_t>::max() / ncols ||
+                    nnz <= nrows * ncols,
+                "matrix market: header declares more entries than the "
+                "matrix has");
 
+  // The header is untrusted: reserve no more entries than the rest of the
+  // input can hold (an entry line takes at least 6 bytes, "i j v\n").  An
+  // unseekable stream grows on demand instead.
+  std::size_t fits = 0;
+  if (const std::istream::pos_type here = in.tellg(); here != -1) {
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type last = in.tellg();
+    in.seekg(here);
+    if (last != -1) fits = static_cast<std::size_t>(last - here) / 6 + 1;
+  }
+  const std::size_t reserve = std::min(nnz, fits);
   CooBuilder builder(nrows, ncols);
-  builder.reserve(sym == "symmetric" ? 2 * nnz : nnz);
+  builder.reserve(sym == "symmetric" ? 2 * reserve : reserve);
   std::size_t read_count = 0;
   while (read_count < nnz && std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;
     std::istringstream entry(line);
     std::size_t i = 0, j = 0;
-    double v = 0.0;
-    entry >> i >> j >> v;
+    std::string token;
+    PIPESCG_CHECK(static_cast<bool>(entry >> i >> j >> token),
+                  "matrix market: malformed entry line '" + line + "'");
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    PIPESCG_CHECK(end != token.c_str() && *end == '\0',
+                  "matrix market: unparsable value '" + token + "'");
+    PIPESCG_CHECK(std::isfinite(v),
+                  "matrix market: non-finite value '" + token + "'");
     PIPESCG_CHECK(i >= 1 && i <= nrows && j >= 1 && j <= ncols,
                   "matrix market: entry index out of range");
     if (sym == "symmetric") {

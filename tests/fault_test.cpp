@@ -17,6 +17,7 @@
 #include "pipescg/fault/injector.hpp"
 #include "pipescg/fault/recovery.hpp"
 #include "pipescg/fault/spec.hpp"
+#include "pipescg/krylov/multi_rhs.hpp"
 #include "pipescg/krylov/registry.hpp"
 #include "pipescg/krylov/solver.hpp"
 #include "pipescg/krylov/spmd_engine.hpp"
@@ -333,7 +334,8 @@ TEST_P(FaultMatrixTest, DeadRankNeverHangs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, FaultMatrixTest,
-                         ::testing::Values("pipe-scg", "pipe-pscg", "hybrid"),
+                         ::testing::Values("scg", "pscg", "scg-sspmv",
+                                           "pipe-scg", "pipe-pscg", "hybrid"),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (char& ch : n)
@@ -379,6 +381,94 @@ TEST(FaultCleanRunTest, RecoveryOnIsBitwiseIdenticalToRecoveryOff) {
     for (std::size_t i = 0; i < with.x.size(); ++i)
       ASSERT_EQ(with.x[i], without.x[i]) << method << " i=" << i;
     EXPECT_EQ(with.stats.recoveries, 0u) << method;
+  }
+}
+
+// Batched multi-RHS solve on the SPMD runtime: column j solves A x = A x*_j
+// with x*_j(i) = 1 + 0.5 sin(0.3 (i + 7 j)), one column per entry of `ids`.
+struct BatchResult {
+  std::vector<std::vector<double>> x;
+  std::vector<krylov::SolveStats> stats;
+  std::size_t injected = 0;
+};
+
+BatchResult solve_batch_with_faults(const sparse::CsrMatrix& a, int ranks,
+                                    const krylov::SolverOptions& opts,
+                                    const std::vector<FaultSpec>& specs,
+                                    const std::vector<int>& ids) {
+  const std::size_t n = a.rows();
+  const std::size_t k = ids.size();
+  const sparse::Partition part(n, ranks);
+  BatchResult result;
+  result.x.assign(k, std::vector<double>(n, 0.0));
+  std::mutex mutex;
+  par::Team::run(ranks, [&](par::Comm& comm) {
+    fault::Injector injector(specs, comm.rank());
+    const fault::Injector::Install install(specs.empty() ? nullptr
+                                                         : &injector);
+    const sparse::DistCsr dist(a, part, comm.rank());
+    const std::size_t begin = part.begin(comm.rank());
+    const std::size_t len = part.local_size(comm.rank());
+    krylov::SpmdEngine engine(comm, dist);
+    std::vector<krylov::Vec> bs, xs;
+    for (const int j : ids) {
+      krylov::Vec xstar = engine.new_vec();
+      for (std::size_t i = 0; i < len; ++i)
+        xstar[i] = 1.0 + 0.5 * std::sin(0.3 * static_cast<double>(
+                                                  begin + i + 7 * j));
+      krylov::Vec b = engine.new_vec();
+      engine.apply_op(xstar, b);
+      bs.push_back(std::move(b));
+      xs.push_back(engine.new_vec());
+    }
+    std::vector<krylov::SolveStats> stats = krylov::scg_multi_solve(
+        engine, std::span<const krylov::Vec>(bs), std::span<krylov::Vec>(xs),
+        opts);
+    std::lock_guard<std::mutex> lock(mutex);
+    for (std::size_t c = 0; c < k; ++c)
+      for (std::size_t i = 0; i < len; ++i) result.x[c][begin + i] = xs[c][i];
+    result.injected += injector.injected();
+    if (comm.rank() == 0) result.stats = std::move(stats);
+  });
+  return result;
+}
+
+// One SDC on rank 1 corrupts one column's SPMV.  That column rolls back on
+// its own and converges; the other columns never see the fault and stay
+// bitwise identical to their solo solves.
+TEST(FaultBatchTest, SdcHitColumnRecoversAloneInABatch) {
+  const sparse::CsrMatrix a = sparse::make_thermal2_like(32, 32);
+  krylov::SolverOptions opts;
+  opts.rtol = 1e-6;
+  opts.s = 3;
+  const BatchResult batch = solve_batch_with_faults(
+      a, 3, opts,
+      fault::parse_fault_specs("rank=1:kind=sdc:target=spmv:iter=40:bit=62"),
+      {0, 1, 2});
+  EXPECT_EQ(batch.injected, 1u);
+  ASSERT_EQ(batch.stats.size(), 3u);
+  std::size_t hit = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_TRUE(batch.stats[c].converged) << "column " << c;
+    EXPECT_FALSE(batch.stats[c].breakdown) << "column " << c;
+    if (batch.stats[c].recoveries >= 1) ++hit;
+  }
+  ASSERT_EQ(hit, 1u) << "exactly one column should have rolled back";
+  for (std::size_t c = 0; c < 3; ++c) {
+    if (batch.stats[c].recoveries > 0) {
+      for (std::size_t i = 0; i < batch.x[c].size(); ++i)
+        ASSERT_NEAR(batch.x[c][i],
+                    1.0 + 0.5 * std::sin(0.3 * static_cast<double>(
+                                             i + 7 * c)),
+                    1e-2)
+            << "hit column " << c << " i=" << i;
+      continue;
+    }
+    const BatchResult solo =
+        solve_batch_with_faults(a, 3, opts, {}, {static_cast<int>(c)});
+    EXPECT_EQ(batch.stats[c].history, solo.stats[0].history) << "column " << c;
+    for (std::size_t i = 0; i < solo.x[0].size(); ++i)
+      ASSERT_EQ(batch.x[c][i], solo.x[0][i]) << "column " << c << " i=" << i;
   }
 }
 

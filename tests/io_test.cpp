@@ -83,6 +83,49 @@ TEST(MatrixMarketFileTest, MalformedHeadersThrow) {
   }
 }
 
+// Untrusted input fails with a typed Error, never with a bad allocation or
+// a silently substituted value.
+void expect_rejected(const std::string& content, const std::string& label) {
+  TempFile file("untrusted.mtx");
+  {
+    std::ofstream out(file.path());
+    out << content;
+  }
+  EXPECT_THROW(read_matrix_market_file(file.path()), Error) << label;
+}
+
+TEST(MatrixMarketFileTest, HugeHeaderCountIsRejectedWithoutAllocating) {
+  // 9e18 entries fit the 4e9 x 4e9 bound, but one line cannot hold them.
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4000000000 4000000000 9000000000000000000\n1 1 1.0\n",
+      "huge nnz");
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1.0\n",
+      "nnz above rows x cols");
+}
+
+TEST(MatrixMarketFileTest, UnparsableValueIsRejected) {
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n",
+      "value abc");
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 2.5x\n",
+      "value 2.5x");
+  expect_rejected(
+      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+      "missing value");
+}
+
+TEST(MatrixMarketFileTest, NonFiniteValueIsRejected) {
+  for (const char* v : {"inf", "-inf", "nan", "1e999"})
+    expect_rejected(
+        std::string("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1\n1 1 ") +
+            v + "\n",
+        v);
+}
+
 TEST(MatrixMarketFileTest, IntegerFieldIsAccepted) {
   TempFile file("int.mtx");
   {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <thread>
 
+#include "pipescg/krylov/multi_rhs.hpp"
 #include "pipescg/krylov/registry.hpp"
 #include "pipescg/obs/anomaly.hpp"
 #include "pipescg/krylov/serial_engine.hpp"
@@ -24,6 +26,7 @@
 #include "pipescg/sim/timeline.hpp"
 #include "pipescg/sparse/dist_csr.hpp"
 #include "pipescg/sparse/stencil.hpp"
+#include "pipescg/sparse/surrogates.hpp"
 
 namespace pipescg::obs {
 namespace {
@@ -941,6 +944,51 @@ TEST(MidSolveProbeTest, EmittedAlertsCarryTheTraceIdAndHitTheCallback) {
   ASSERT_EQ(sink.emitted(), 1u);
   EXPECT_EQ(sink.alerts()[0].trace_id, 99u);
   EXPECT_EQ(callback_hits, 1);
+}
+
+// Alerts the default stall detector raises while the probe watches a
+// serial scg-sspmv solve of the columns `ids` (batched when several).
+std::size_t stall_alerts(const sparse::CsrMatrix& a,
+                         const std::vector<int>& ids) {
+  StallDetector stall;
+  AlertSink sink;
+  MidSolveProbe::Shared shared;
+  shared.stall = &stall;
+  shared.sink = &sink;
+  MidSolveProbe probe(&shared, /*rank=*/0);
+  const MidSolveProbe::Install install(&probe);
+  krylov::SerialEngine engine(a);
+  std::vector<krylov::Vec> bs, xs;
+  for (const int j : ids) {
+    krylov::Vec xstar = engine.new_vec();
+    for (std::size_t i = 0; i < xstar.size(); ++i)
+      xstar[i] = 1.0 + 0.5 * std::sin(0.3 * static_cast<double>(i + 7 * j));
+    bs.push_back(engine.new_vec());
+    engine.apply_op(xstar, bs.back());
+    xs.push_back(engine.new_vec());
+  }
+  krylov::SolverOptions opts;
+  opts.rtol = 1e-6;
+  opts.s = 3;
+  const std::vector<krylov::SolveStats> stats = krylov::scg_multi_solve(
+      engine, std::span<const krylov::Vec>(bs), std::span<krylov::Vec>(xs),
+      opts);
+  for (const krylov::SolveStats& st : stats) EXPECT_TRUE(st.converged);
+  return sink.emitted();
+}
+
+// A batched solve interleaves its columns' checkpoints.  One shared plateau
+// window would compare one column's residual with another's and fire on
+// healthy solves; each column keeps its own window instead, so the batch
+// raises exactly the alerts its columns raise alone -- none here.
+TEST(MidSolveProbeTest, BatchedColumnsKeepSeparateStallWindows) {
+  const sparse::CsrMatrix a = sparse::make_thermal2_like(48, 48);
+  std::vector<int> ids;
+  for (int j = 0; j < 6; ++j) {
+    EXPECT_EQ(stall_alerts(a, {j}), 0u) << "solo column " << j;
+    ids.push_back(j);
+  }
+  EXPECT_EQ(stall_alerts(a, ids), 0u);
 }
 
 }  // namespace

@@ -386,6 +386,40 @@ TEST(AdmissionQueueTest, DrainExecutesMixedStream) {
   }
 }
 
+// A batch runs with its first job's options, so a job whose options differ
+// in anything the solve reads must not join it: a Chebyshev job queued
+// behind a monomial one runs alone, as the Chebyshev solve it asked for.
+TEST(AdmissionQueueTest, DifferentBasisIsNotBatched) {
+  const sparse::CsrMatrix a = test_matrix();
+  SessionConfig config;
+  config.ranks = 2;
+  const krylov::SolverOptions mono = test_opts();
+  krylov::SolverOptions cheb = mono;
+  cheb.basis.type = krylov::BasisType::kChebyshev;
+
+  Session solo_session(a, config);
+  SolveContext solo("scg-sspmv", test_rhs(a, 1), cheb);
+  solo_session.solve(solo);
+  ASSERT_TRUE(solo.converged());
+  ASSERT_EQ(solo.stats().basis, "chebyshev");
+
+  Session session(a, config);
+  SolveContext first("scg-sspmv", test_rhs(a, 0), mono);
+  SolveContext second("scg-sspmv", test_rhs(a, 1), cheb);
+  EXPECT_FALSE(batchable(first, second));
+  AdmissionQueue queue;
+  queue.submit(&first);
+  queue.submit(&second);
+  EXPECT_EQ(session.drain(queue), 2u);
+  EXPECT_EQ(queue.batches(), 0u);
+  EXPECT_EQ(session.team_runs(), 2u);
+  EXPECT_EQ(second.stats().basis, "chebyshev");
+  EXPECT_EQ(second.stats().iterations, solo.stats().iterations);
+  ASSERT_EQ(second.x().size(), solo.x().size());
+  for (std::size_t i = 0; i < solo.x().size(); ++i)
+    ASSERT_EQ(second.x()[i], solo.x()[i]) << "entry " << i;
+}
+
 TEST(DeadlineTest, ExpiredJobIsDroppedWithDistinctTerminalState) {
   const sparse::CsrMatrix a = test_matrix();
   SessionConfig config;
